@@ -14,8 +14,10 @@ Two granularities over the same query semantics:
   projection/probe/aggregate columns are decoded only for pages with at
   least one surviving row (late materialization). Counters, virtual time,
   and results are bit-identical to driving :class:`PageKernel` page by
-  page — aggregation partials are still folded per page segment in page
-  order, so even float accumulation order matches.
+  page. Scalar aggregates fold per page segment in page order; grouped
+  aggregates fold once per unit from per-(page, group) cells, adding float
+  sums onto the running value in page order, so even float accumulation
+  order matches.
 
 Both count every priced operation; the caller (host executor or Smart SSD
 program) charges the counters to the right CPU and moves the right bytes
@@ -658,8 +660,11 @@ class BatchKernel:
     predicate evaluates first over just its own columns; every other column
     is then decoded only for pages with surviving rows (late
     materialization). Aggregates fold into the caller's running
-    :class:`AggState` per page segment in page order, so floating-point
-    accumulation order is preserved bit for bit.
+    :class:`AggState` with the per-page kernel's floating-point
+    accumulation order preserved bit for bit: scalar aggregates per page
+    segment in page order, grouped aggregates once per unit — each group's
+    per-page partials are computed in one ``bincount`` and added onto the
+    running value page by page.
 
     Queries whose expressions are not :func:`batch_exact` (clamping
     combinators in reduced-active positions) transparently run the
@@ -856,13 +861,13 @@ class BatchKernel:
                                  counters, touched)
         if agg_into is None:
             raise PlanError("aggregate unit needs a running AggState")
-        bounds = np.searchsorted(page_of, np.arange(page_count + 1))
         if self.query.group_by is None:
+            bounds = np.searchsorted(page_of, np.arange(page_count + 1))
             self._fold_scalar_segments(out_ctx, k, bounds, page_count,
                                        counters, agg_into)
         else:
-            self._fold_grouped_segments(out_ctx, k, bounds, page_count,
-                                        counters, agg_into)
+            self._fold_grouped_unit(out_ctx, k, page_of, page_count,
+                                    counters, agg_into)
         return UnitPartial(row_count=k, chunks=[], touched_nbytes=touched)
 
     def _project(self, out_ctx: EvalContext, page_of: np.ndarray, k: int,
@@ -950,63 +955,74 @@ class BatchKernel:
                 agg_into.values[agg.name] = _merge_scalar(
                     agg.kind, agg_into.values.get(agg.name), partial)
 
-    def _fold_grouped_segments(self, out_ctx: EvalContext, k: int,
-                               bounds: np.ndarray, page_count: int,
-                               counters: WorkCounters,
-                               agg_into: AggState) -> None:
+    def _fold_grouped_unit(self, out_ctx: EvalContext, k: int,
+                           page_of: np.ndarray, page_count: int,
+                           counters: WorkCounters,
+                           agg_into: AggState) -> None:
         aggs = self.query.aggregates
         names = self.query.group_by_columns
-        evaluated: dict[str, np.ndarray] = {}
-        if k:
-            # Empty segments early-return in the per-page kernel, so only
-            # the k surviving rows are ever charged.
-            out_ctx.charge_extract(k * len(names))
-            for agg in aggs:
-                counters.aggregate_updates += k
-                if agg.kind != "count":
-                    evaluated[agg.name] = np.asarray(
-                        agg.expr.evaluate(out_ctx, k))
         # Merging a page partial always (re)writes the scalar slots, even
         # for grouped queries where they stay None; mirror that so merged
         # states compare equal.
         for agg in aggs:
             agg_into.values[agg.name] = agg_into.values.get(agg.name)
-        for position in range(page_count):
-            lo, hi = int(bounds[position]), int(bounds[position + 1])
-            k_page = hi - lo
-            if k_page == 0:
-                continue
-            segment = slice(lo, hi)
-            if len(names) == 1:
-                groups, inverse = np.unique(
-                    out_ctx.columns[names[0]][segment], return_inverse=True)
-                group_list = groups.tolist()
+        if not k:
+            # Empty segments early-return in the per-page kernel, so only
+            # the k surviving rows are ever charged.
+            return
+        out_ctx.charge_extract(k * len(names))
+        columns = out_ctx.columns
+        # Dense group codes in key order: one np.unique per GROUP BY
+        # column, combined in mixed radix and re-compressed after each
+        # column so codes stay below k.
+        code = first = None
+        for name in names:
+            uniques, column_first, column_code = np.unique(
+                columns[name], return_index=True, return_inverse=True)
+            if code is None:
+                code, first = column_code, column_first
             else:
-                key_dtype = np.dtype([(name, out_ctx.columns[name].dtype)
-                                      for name in names])
-                keys = np.empty(k_page, dtype=key_dtype)
-                for name in names:
-                    keys[name] = out_ctx.columns[name][segment]
-                groups, inverse = np.unique(keys, return_inverse=True)
-                group_list = [tuple(g) for g in groups.tolist()]
-            for agg in aggs:
+                __, first, code = np.unique(
+                    code * len(uniques) + column_code,
+                    return_index=True, return_inverse=True)
+        group_count = len(first)
+        keys = [columns[name][first].tolist() for name in names]
+        keys = keys[0] if len(names) == 1 else list(zip(*keys))
+        entries = [agg_into.groups.setdefault(key, {}) for key in keys]
+        # One (page, group) cell per per-page partial. bincount adds each
+        # cell's rows in row order from +0.0, exactly as the per-page
+        # kernel does, and never yields -0.0.
+        cell = page_of * group_count + code
+        cell_count = page_count * group_count
+        for agg in aggs:
+            counters.aggregate_updates += k
+            running = [entry.get(agg.name) for entry in entries]
+            if agg.kind == "sum":
+                values = np.asarray(agg.expr.evaluate(out_ctx, k))
+                partials = np.bincount(
+                    cell, weights=values.astype(np.float64),
+                    minlength=cell_count).reshape(page_count, group_count)
+                if values.dtype.kind in "iu":
+                    partials = partials.astype(np.int64)
+                # Float addition is order-sensitive: add the partials onto
+                # the running value page by page, (prev + p0) + p1 ..., as
+                # the per-page merge does. Absent cells add an exact 0.
+                seed = [0 if value is None else value for value in running]
+                folded = np.add.accumulate(
+                    np.vstack([seed, partials]), axis=0)[-1].tolist()
+            else:
                 if agg.kind == "count":
-                    partials = np.bincount(inverse, minlength=len(groups))
-                elif agg.kind == "sum":
-                    values = evaluated[agg.name][segment]
-                    weights = values.astype(np.float64)
-                    partials = np.bincount(inverse, weights=weights,
-                                           minlength=len(groups))
-                    if values.dtype.kind in "iu":
-                        partials = partials.astype(np.int64)
+                    totals = np.bincount(code, minlength=group_count)
                 else:
-                    values = evaluated[agg.name][segment]
-                    reducer = np.minimum if agg.kind == "min" else np.maximum
+                    # min/max are order-free: one reduction over the unit.
+                    values = np.asarray(agg.expr.evaluate(out_ctx, k))
+                    reducer = (np.minimum if agg.kind == "min"
+                               else np.maximum)
                     fill = values.max() if agg.kind == "min" \
                         else values.min()
-                    partials = np.full(len(groups), fill, dtype=values.dtype)
-                    reducer.at(partials, inverse, values)
-                for group, partial in zip(group_list, partials.tolist()):
-                    entry = agg_into.groups.setdefault(group, {})
-                    entry[agg.name] = _merge_scalar(
-                        agg.kind, entry.get(agg.name), partial)
+                    totals = np.full(group_count, fill, dtype=values.dtype)
+                    reducer.at(totals, code, values)
+                folded = [_merge_scalar(agg.kind, prev, total)
+                          for prev, total in zip(running, totals.tolist())]
+            for entry, value in zip(entries, folded):
+                entry[agg.name] = value

@@ -7,7 +7,9 @@ same output rows, same work counters (the inputs to virtual time), same
 touched bytes. This suite drives both over the same random pages and
 compares everything, including the non-batch-exact predicate shapes that
 force the batch kernel onto its per-page fallback, and the NSM layout
-where decode degrades to whole-record parsing.
+where decode degrades to whole-record parsing. The pages are cut into one
+or more I/O units folded into one running aggregate state, through both
+the page-bytes entry point and the shared-scan (already decoded) one.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.engine import (
     Col,
     Compare,
     Const,
+    Div,
     JoinSpec,
     Mul,
     Or,
@@ -38,8 +41,11 @@ from repro.storage import (
     Int32Type,
     Int64Type,
     Layout,
+    PageHeader,
     Schema,
+    UnitColumns,
     build_heap_pages,
+    decode_columns,
 )
 
 SCHEMA = Schema([
@@ -120,22 +126,26 @@ def queries(draw):
     agg_pool = [AggSpec("count", None, "n"),
                 AggSpec("sum", Col("a"), "s"),
                 AggSpec("sum", Mul(Col("b"), Const(3)), "s3"),
+                # Float-valued: its sums round, so fold order shows.
+                AggSpec("sum", Div(Col("c"), Const(7)), "fs"),
                 AggSpec("min", Col("b"), "lo"),
                 AggSpec("max", Col("c"), "hi")]
     if join:
         agg_pool.append(AggSpec("sum", Col("payload"), "p"))
-    count = draw(st.integers(1, len(agg_pool)))
-    group_by = draw(st.one_of(st.none(), st.sampled_from(["a", "b"])))
+    aggregates = draw(st.lists(st.sampled_from(agg_pool), min_size=1,
+                               max_size=4, unique_by=lambda agg: agg.name))
+    group_by = draw(st.one_of(
+        st.none(), st.sampled_from(["a", "b"]),
+        st.sampled_from([("a", "b"), ("b", "a"), ("a", "c")])))
     return Query(table="fact", predicate=predicate, join=join,
                  post_predicate=post_predicate,
-                 aggregates=tuple(agg_pool[:count]),
-                 group_by=group_by)
+                 aggregates=tuple(aggregates), group_by=group_by)
 
 
 @st.composite
 def datasets(draw):
     seed = draw(st.integers(0, 2**31))
-    n = draw(st.integers(1, 1200))
+    n = draw(st.integers(1, 3000))
     rng = np.random.default_rng(seed)
     rows = np.empty(n, dtype=SCHEMA.numpy_dtype())
     rows["a"] = rng.integers(-10, 30, n)
@@ -155,14 +165,23 @@ def _hash_table(query, dim):
                      {"payload": np.ascontiguousarray(dim["payload"])})
 
 
-def _page_reference(kernel, pages, query):
-    """Drive the per-page kernel and collect its totals."""
+def _page_reference(kernel, pages, query, decoded):
+    """Drive the per-page kernel and collect its totals.
+
+    ``decoded`` hands each page over already decoded (every column, as a
+    shared scan decodes its riders' union) instead of as page bytes.
+    """
     counters = WorkCounters()
     touched = 0
     agg = AggState()
     chunks = []
     for page in pages:
-        partial = kernel.process_page(page)
+        if decoded:
+            partial = kernel.process_decoded(
+                decode_columns(SCHEMA, page, SCHEMA.names),
+                PageHeader.decode(page).tuple_count)
+        else:
+            partial = kernel.process_page(page)
         counters.add(partial.counters)
         touched += partial.touched_nbytes
         if query.select:
@@ -177,31 +196,52 @@ def _concat(chunks, names):
             if chunks else np.empty(0) for name in names}
 
 
-@given(queries(), datasets(), st.sampled_from([Layout.NSM, Layout.PAX]))
-@settings(max_examples=60, deadline=None)
-def test_batch_kernel_matches_page_kernel(query, data, layout):
+def _units(pages, cuts):
+    """Split ``pages`` into consecutive I/O units at the ``cuts`` that fall
+    inside the table."""
+    edges = [0, *sorted({c for c in cuts if c < len(pages)}), len(pages)]
+    return [pages[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+@given(queries(), datasets(), st.sampled_from([Layout.NSM, Layout.PAX]),
+       st.lists(st.integers(1, 6), max_size=3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_batch_kernel_matches_page_kernel(query, data, layout, cuts,
+                                          decoded):
     rows, dim = data
     pages = build_heap_pages(SCHEMA, rows, layout)
     table = _hash_table(query, dim)
     batch = BatchKernel(query, SCHEMA, layout, hash_table=table)
 
     ref_counters, ref_touched, ref_chunks, ref_agg = _page_reference(
-        batch.page_kernel, pages, query)
+        batch.page_kernel, pages, query, decoded)
 
+    # One or more units folding into one running state.
     counters = WorkCounters()
     agg = AggState()
-    partial = batch.process_unit(
-        pages, counters=counters,
-        agg_into=None if query.select else agg)
+    chunks = []
+    touched = 0
+    for unit_pages in _units(pages, cuts):
+        agg_into = None if query.select else agg
+        if decoded:
+            unit = UnitColumns(SCHEMA, unit_pages)
+            partial = batch.process_decoded_unit(
+                unit.decode(SCHEMA.names), unit.counts, counters=counters,
+                agg_into=agg_into)
+        else:
+            partial = batch.process_unit(unit_pages, counters=counters,
+                                         agg_into=agg_into)
+        chunks.extend(chunk for __, chunk in partial.chunks)
+        touched += partial.touched_nbytes
 
     # Work counters — the inputs to virtual time — must match exactly.
     for name in _LEGACY_COUNTERS:
         assert getattr(counters, name) == getattr(ref_counters, name), name
-    assert partial.touched_nbytes == ref_touched
+    assert touched == ref_touched
 
     if query.select:
         names = query.output_names()
-        got = _concat([chunk for __, chunk in partial.chunks], names)
+        got = _concat(chunks, names)
         want = _concat(ref_chunks, names)
         for name in names:
             assert np.array_equal(got[name], want[name])
