@@ -344,13 +344,13 @@ def bench_htap():
     }
 
 
-def bench_parallel_serving(backend: str = "process") -> dict:
-    """Wall-clock of the E6 replay, serial engine vs a parallel backend.
+def bench_parallel_serving() -> dict:
+    """Wall-clock of the E6 replay, serial engine vs the process backend.
 
     The only wall-clock figure in the report that measures *host* CPU
     parallelism rather than simulated device parallelism: the same
     four-shard two-tenant traffic replay runs once on the serial engine
-    and once on ``backend`` (thread/process lanes, one per shard), and
+    and once on the process backend (one forked lane per shard), and
     both must land on the identical virtual clock — the determinism
     contract of :mod:`repro.runtime`. The speedup is gated by
     ``check_regression.py`` only on machines with >= 4 CPUs; this
@@ -402,6 +402,7 @@ def bench_parallel_serving(backend: str = "process") -> dict:
         frontend.close()
         return elapsed, now, runtime
 
+    backend = "process"
     serial_s, serial_now, _ = replay("serial")
     parallel_s, parallel_now, runtime = replay(backend)
     assert parallel_now == serial_now, (
@@ -443,11 +444,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, default=None,
                         help="where to write the JSON (overrides --pr; "
                              f"default: {default_output()})")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="process",
-                        help="parallel runtime backend the serial-vs-"
-                             "parallel serving bench compares against "
-                             "(default: process)")
     args = parser.parse_args(argv)
     if args.output is None:
         args.output = default_output(args.pr)
@@ -467,7 +463,7 @@ def main(argv=None) -> int:
     # Top-level block, not a metric: wall-clock parallel speedup is gated
     # by check_regression.py conditionally on the CPU count, never by the
     # calibrated-ratio machinery.
-    parallel = bench_parallel_serving(args.backend)
+    parallel = bench_parallel_serving()
     print(f"  parallel[{parallel['backend']}]: "
           f"{parallel['speedup_x']:.2f}x over serial "
           f"({parallel['cpu_count']} cpus)")

@@ -2,8 +2,8 @@
 
 The paper's key move is running *the same database operator code* in two
 places: on the host CPUs and inside the Smart SSD. This package holds that
-shared code — expression trees, per-page kernels (filter / probe /
-aggregate), hash tables, and the query description — so
+shared code — expression trees, the I/O-unit batch kernel (filter /
+probe / aggregate), hash tables, and the query description — so
 :mod:`repro.host.executor` and :mod:`repro.smart.programs` execute
 identically and differ only in where pages flow and which CPU is charged.
 """

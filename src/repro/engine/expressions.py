@@ -3,8 +3,15 @@
 Expressions evaluate over a *column source* — a mapping of column name to
 NumPy array for the rows under consideration — and increment
 :class:`~repro.model.counters.WorkCounters` with exactly the operations a
-tuple-at-a-time engine would perform, including short-circuit effects:
-``And(a, b)`` only charges ``b`` for rows that survived ``a``.
+tuple-at-a-time engine would perform, including short-circuit effects.
+
+The counting rule: every node is evaluated with an *active set*, a boolean
+row mask (``None`` means every row), and is charged once per row in it.
+``And(a, b)`` hands ``b`` the active rows ``a`` accepted, ``Or(a, b)`` the
+active rows ``a`` rejected, and ``CASE WHEN c`` hands its ``THEN`` and
+``ELSE`` branches the active rows where ``c`` holds and fails. Charges are
+therefore per row, so they add up exactly across any split of the rows
+into pages or I/O units.
 
 The same tree evaluates identically on the host and inside the device; only
 the pricing of the counters differs (layout-dependent extract costs, CPU
@@ -13,13 +20,16 @@ efficiency factors).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.errors import ExpressionError
 from repro.model.counters import WorkCounters
 from repro.storage.layout import Layout
+
+#: An active set: a boolean mask over the context's rows (``None``: all).
+RowMask = Optional[np.ndarray]
 
 #: Comparison operators supported by :class:`Compare`.
 _COMPARE_OPS: dict[str, Callable[[np.ndarray, Any], np.ndarray]] = {
@@ -41,6 +51,12 @@ class EvalContext:
         self.row_count = row_count
         self.counters = counters
         self.layout = layout
+
+    def active_count(self, active: RowMask) -> int:
+        """Rows in the active set ``active`` (``None``: every row)."""
+        if active is None:
+            return self.row_count
+        return int(np.count_nonzero(active))
 
     def charge_extract(self, active: int) -> None:
         """Charge one column-value extraction per active row."""
@@ -70,12 +86,13 @@ class Expr:
         """Names of every column the expression references."""
         raise NotImplementedError
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
-        """Compute values for all rows, charging work for ``active`` rows.
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
+        """Compute values for all rows, charging work for the active rows.
 
-        ``active`` is the number of rows this node is logically evaluated
-        on (short-circuiting shrinks it); the returned array is always
-        full-length so vectorized composition stays simple.
+        ``active`` is the boolean mask of rows this node is logically
+        evaluated on (short-circuiting shrinks it; ``None`` means every
+        row); the returned array is always full-length so vectorized
+        composition stays simple.
         """
         raise NotImplementedError
 
@@ -93,10 +110,10 @@ class Col(Expr):
     def columns(self) -> set[str]:
         return {self.name}
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         if self.name not in ctx.columns:
             raise ExpressionError(f"column {self.name!r} not available")
-        ctx.charge_extract(active)
+        ctx.charge_extract(ctx.active_count(active))
         return ctx.columns[self.name]
 
     def __repr__(self) -> str:
@@ -112,7 +129,7 @@ class Const(Expr):
     def columns(self) -> set[str]:
         return set()
 
-    def evaluate(self, ctx: EvalContext, active: int) -> Any:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> Any:
         return self.value
 
     def __repr__(self) -> str:
@@ -132,10 +149,10 @@ class _BinaryArith(Expr):
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         left = self.left.evaluate(ctx, active)
         right = self.right.evaluate(ctx, active)
-        ctx.counters.arithmetic_ops += active
+        ctx.counters.arithmetic_ops += ctx.active_count(active)
         return type(self)._op(left, right)
 
     def __repr__(self) -> str:
@@ -194,10 +211,10 @@ class Compare(Expr):
     def is_boolean(self) -> bool:
         return True
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         left = self.left.evaluate(ctx, active)
         right = self.right.evaluate(ctx, active)
-        ctx.counters.predicates_evaluated += active
+        ctx.counters.predicates_evaluated += ctx.active_count(active)
         mask = _COMPARE_OPS[self.op](left, right)
         return np.broadcast_to(np.asarray(mask, dtype=bool),
                                (ctx.row_count,))
@@ -221,10 +238,9 @@ class And(Expr):
     def is_boolean(self) -> bool:
         return True
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         left_mask = self.left.evaluate(ctx, active)
-        survivors = min(active, int(np.count_nonzero(left_mask)))
-        right_mask = self.right.evaluate(ctx, survivors)
+        right_mask = self.right.evaluate(ctx, _within(active, left_mask))
         return left_mask & right_mask
 
     def __repr__(self) -> str:
@@ -246,10 +262,9 @@ class Or(Expr):
     def is_boolean(self) -> bool:
         return True
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         left_mask = self.left.evaluate(ctx, active)
-        remaining = max(0, active - int(np.count_nonzero(left_mask)))
-        right_mask = self.right.evaluate(ctx, remaining)
+        right_mask = self.right.evaluate(ctx, _within(active, ~left_mask))
         return left_mask | right_mask
 
     def __repr__(self) -> str:
@@ -270,9 +285,9 @@ class LikePrefix(Expr):
     def is_boolean(self) -> bool:
         return True
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         values = self.column.evaluate(ctx, active)
-        ctx.counters.like_evaluated += active
+        ctx.counters.like_evaluated += ctx.active_count(active)
         width = len(self.prefix)
         # Compare the leading `width` bytes of each fixed-length string.
         itemsize = values.dtype.itemsize
@@ -300,16 +315,20 @@ class CaseWhen(Expr):
         return (self.condition.columns() | self.then.columns()
                 | self.otherwise.columns())
 
-    def evaluate(self, ctx: EvalContext, active: int) -> np.ndarray:
+    def evaluate(self, ctx: EvalContext, active: RowMask = None) -> np.ndarray:
         mask = self.condition.evaluate(ctx, active)
-        hits = min(active, int(np.count_nonzero(mask)))
-        then_vals = self.then.evaluate(ctx, hits)
-        else_vals = self.otherwise.evaluate(ctx, max(0, active - hits))
+        then_vals = self.then.evaluate(ctx, _within(active, mask))
+        else_vals = self.otherwise.evaluate(ctx, _within(active, ~mask))
         return np.where(mask, then_vals, else_vals)
 
     def __repr__(self) -> str:
         return (f"CASE WHEN {self.condition!r} THEN {self.then!r} "
                 f"ELSE {self.otherwise!r} END")
+
+
+def _within(active: RowMask, mask: np.ndarray) -> np.ndarray:
+    """The rows of the active set ``active`` that ``mask`` selects."""
+    return mask if active is None else active & mask
 
 
 def _require_boolean(*nodes: Expr) -> None:

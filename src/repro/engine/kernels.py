@@ -1,23 +1,24 @@
 """Execution kernels shared by host and device placement.
 
-Two granularities over the same query semantics:
-
-* :class:`PageKernel` — the original page-at-a-time kernel: decode the
-  needed columns of one page, apply the predicate, optionally probe the
-  join hash table, then project rows or fold aggregates.
-  :meth:`PageKernel.process_page` remains as the compatibility shim the
-  pruning/top-N paths and the differential tests exercise.
-* :class:`BatchKernel` — the hot path: one I/O unit (up to 32 pages) per
-  invocation. Columns decode across the whole unit in one NumPy pass per
-  column (:class:`repro.storage.UnitColumns`), the predicate evaluates over
-  the unit's concatenated predicate columns *first*, and the remaining
-  projection/probe/aggregate columns are decoded only for pages with at
-  least one surviving row (late materialization). Counters, virtual time,
-  and results are bit-identical to driving :class:`PageKernel` page by
-  page. Scalar aggregates fold per page segment in page order; grouped
+* :class:`BatchKernel` — the one production kernel: one I/O unit (up to
+  32 pages) per invocation. Columns decode across the whole unit in one
+  NumPy pass per column (:class:`repro.storage.UnitColumns`), the
+  predicate evaluates over the unit's concatenated predicate columns
+  *first*, and the remaining projection/probe/aggregate columns are decoded
+  only for pages with at least one surviving row (late materialization).
+  Scalar aggregates fold per page segment in page order; grouped
   aggregates fold once per unit from per-(page, group) cells, adding float
-  sums onto the running value in page order, so even float accumulation
-  order matches.
+  sums onto the running value in page order.
+* :class:`PageKernel` — the page-at-a-time reference the differential
+  tests compare :class:`BatchKernel` against: decode the needed columns of
+  one page, apply the predicate, optionally probe the join hash table,
+  then project rows or fold aggregates. No production path runs it.
+
+Expression work is charged once per row in each node's active set (see
+:mod:`repro.engine.expressions`), so counters add up exactly across any
+split of a table into pages or units, and the batch kernel's counters,
+touched bytes and results — float accumulation order included — are
+bit-identical to driving :class:`PageKernel` page by page.
 
 Both count every priced operation; the caller (host executor or Smart SSD
 program) charges the counters to the right CPU and moves the right bytes
@@ -32,18 +33,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.errors import PlanError
-from repro.engine.expressions import (
-    And,
-    CaseWhen,
-    Col,
-    Compare,
-    Const,
-    EvalContext,
-    Expr,
-    LikePrefix,
-    Or,
-    _BinaryArith,
-)
+from repro.engine.expressions import EvalContext
 from repro.engine.plans import AggSpec, JoinSpec, Query
 from repro.model.counters import WorkCounters
 from repro.storage.layout import Layout, decode_columns, touched_bytes
@@ -54,54 +44,6 @@ from repro.storage.unitdecode import UnitColumns
 #: Estimated per-entry bookkeeping bytes of a hash table (bucket pointers,
 #: entry headers) — used for memory grants and cache-residency decisions.
 HASH_ENTRY_OVERHEAD = 24
-
-
-def batch_exact(expr: Optional[Expr]) -> bool:
-    """True when unit-wide evaluation charges exactly the per-page sums.
-
-    The short-circuit combinators (``And``/``Or``/``CaseWhen``) clamp the
-    active-row count they pass onward with ``min``/``max``. Evaluated at
-    *full* active (active == row count) the clamp is exact and additive
-    across pages: ``min(n, nonzero) == nonzero`` and nonzero counts sum.
-    Evaluated at an already-reduced active (the right side of an ``And``,
-    a ``CASE`` branch) the clamp can bind differently per page than over
-    the concatenated unit, so a combinator in such a position makes
-    unit-wide charging inexact — the batch kernel then falls back to its
-    per-page path to preserve bit-identical counters.
-
-    ``and_all``'s left-nested conjunction chains, and every expression the
-    committed workloads use, are batch-exact.
-    """
-    return _exact_at_full(expr) if expr is not None else True
-
-
-def _exact_at_full(expr: Expr) -> bool:
-    """Exactness when ``expr`` is evaluated with active == row count."""
-    if isinstance(expr, (And, Or)):
-        # The left side keeps full active; the right side receives the
-        # (additive) survivor count, where only clamp-free trees are safe.
-        return _exact_at_full(expr.left) and _clamp_free(expr.right)
-    if isinstance(expr, CaseWhen):
-        return (_exact_at_full(expr.condition) and _clamp_free(expr.then)
-                and _clamp_free(expr.otherwise))
-    if isinstance(expr, (Compare, _BinaryArith)):
-        return _exact_at_full(expr.left) and _exact_at_full(expr.right)
-    if isinstance(expr, LikePrefix):
-        return _exact_at_full(expr.column)
-    # Col/Const charge linearly in active — always additive. Unknown node
-    # types are conservatively assumed to clamp.
-    return isinstance(expr, (Col, Const))
-
-
-def _clamp_free(expr: Expr) -> bool:
-    """True when the subtree contains no min/max-clamping combinator."""
-    if isinstance(expr, (And, Or, CaseWhen)):
-        return False
-    if isinstance(expr, (Compare, _BinaryArith)):
-        return _clamp_free(expr.left) and _clamp_free(expr.right)
-    if isinstance(expr, LikePrefix):
-        return _clamp_free(expr.column)
-    return isinstance(expr, (Col, Const))
 
 
 class HashTable:
@@ -165,7 +107,6 @@ class BuildCollector:
                     self.needed.append(name)
         pred = spec.build_predicate
         self._pred_names = set(pred.columns()) if pred is not None else set()
-        self._batch_exact = batch_exact(pred)
 
     def consume(self, pages: Sequence[bytes], counters: WorkCounters,
                 layout: Layout) -> int:
@@ -178,8 +119,6 @@ class BuildCollector:
         """
         if not pages:
             return 0
-        if not self._batch_exact:
-            return self._consume_pages(pages, counters, layout)
         unit = UnitColumns(self.schema, pages)
         n = unit.total_rows
         counters.pages_parsed += unit.page_count
@@ -193,7 +132,7 @@ class BuildCollector:
         columns = unit.decode(eager)
         ctx = EvalContext(columns, n, counters, layout)
         if pred is not None:
-            mask = pred.evaluate(ctx, n)
+            mask = pred.evaluate(ctx)
             keep = np.nonzero(mask)[0]
         else:
             keep = np.arange(n)
@@ -211,33 +150,6 @@ class BuildCollector:
         self._key_chunks.append(gathered[self.spec.build_key])
         for name in self.spec.payload:
             self._payload_chunks[name].append(gathered[name])
-        return touched
-
-    def _consume_pages(self, pages: Sequence[bytes], counters: WorkCounters,
-                       layout: Layout) -> int:
-        """Page-at-a-time path (build predicates batch evaluation cannot
-        charge exactly — see :func:`batch_exact`)."""
-        touched = 0
-        for page in pages:
-            header = PageHeader.decode(page)
-            n = header.tuple_count
-            counters.pages_parsed += 1
-            if layout is Layout.NSM:
-                counters.nsm_tuples_parsed += n
-            touched += touched_bytes(layout, self.schema, self.needed, n)
-            columns = decode_columns(self.schema, page, self.needed)
-            ctx = EvalContext(columns, n, counters, layout)
-            if self.spec.build_predicate is not None:
-                mask = self.spec.build_predicate.evaluate(ctx, n)
-                keep = np.nonzero(mask)[0]
-            else:
-                keep = np.arange(n)
-            # Key + payload extraction for every inserted row.
-            ctx.charge_extract(len(keep) * len(self.needed))
-            counters.hash_builds += len(keep)
-            self._key_chunks.append(columns[self.spec.build_key][keep])
-            for name in self.spec.payload:
-                self._payload_chunks[name].append(columns[name][keep])
         return touched
 
     def finish(self) -> HashTable:
@@ -429,7 +341,13 @@ class PagePartial:
 
 
 class PageKernel:
-    """Compiled per-page execution for one :class:`Query`."""
+    """Page-at-a-time execution for one :class:`Query`: the test reference.
+
+    The straightforward per-page form of :class:`BatchKernel`'s semantics.
+    No production path runs it; the differential tests drive it page by
+    page and require :class:`BatchKernel` to match its rows, counters and
+    touched bytes bit for bit.
+    """
 
     def __init__(self, query: Query, schema: Schema, layout: Layout,
                  hash_table: Optional[HashTable] = None,
@@ -476,7 +394,7 @@ class PageKernel:
 
         # 1. Selection.
         if self.query.predicate is not None:
-            mask = self.query.predicate.evaluate(ctx, n)
+            mask = self.query.predicate.evaluate(ctx)
             survivors = np.nonzero(mask)[0]
         else:
             survivors = np.arange(n)
@@ -502,7 +420,7 @@ class PageKernel:
         # 2b. Post-join predicate (spans probe columns + build payload).
         if self.query.post_predicate is not None:
             post_ctx = self.ctx_factory(filtered, k, counters, self.layout)
-            post_mask = self.query.post_predicate.evaluate(post_ctx, k)
+            post_mask = self.query.post_predicate.evaluate(post_ctx)
             keep = np.nonzero(post_mask)[0]
             filtered = {name: values[keep]
                         for name, values in filtered.items()}
@@ -514,7 +432,7 @@ class PageKernel:
         if self.query.select:
             out_columns = {}
             for name, expr in self.query.select:
-                values = np.asarray(expr.evaluate(out_ctx, k))
+                values = np.asarray(expr.evaluate(out_ctx))
                 if values.ndim == 0:
                     values = np.full(k, values)
                 out_columns[name] = values
@@ -555,7 +473,7 @@ class PageKernel:
         counters.aggregate_updates += k
         if agg.kind == "count":
             return k
-        values = np.asarray(agg.expr.evaluate(ctx, k))
+        values = np.asarray(agg.expr.evaluate(ctx))
         if values.ndim == 0:
             values = np.full(k, values)
         if k == 0:
@@ -591,14 +509,14 @@ class PageKernel:
             if agg.kind == "count":
                 partials = np.bincount(inverse, minlength=len(groups))
             elif agg.kind == "sum":
-                values = np.asarray(agg.expr.evaluate(ctx, k))
+                values = np.asarray(agg.expr.evaluate(ctx))
                 weights = values.astype(np.float64)
                 partials = np.bincount(inverse, weights=weights,
                                        minlength=len(groups))
                 if values.dtype.kind in "iu":
                     partials = partials.astype(np.int64)
             else:
-                values = np.asarray(agg.expr.evaluate(ctx, k))
+                values = np.asarray(agg.expr.evaluate(ctx))
                 reducer = np.minimum if agg.kind == "min" else np.maximum
                 fill = values.max() if agg.kind == "min" else values.min()
                 partials = np.full(len(groups), fill, dtype=values.dtype)
@@ -654,35 +572,32 @@ class UnitPartial:
 class BatchKernel:
     """I/O-unit-at-a-time execution for one :class:`Query`.
 
-    Drop-in replacement for driving :class:`PageKernel` over each page of a
-    unit: identical results, counters, and touched bytes, with the decode
-    and expression work batched across the unit's concatenated rows. The
-    predicate evaluates first over just its own columns; every other column
-    is then decoded only for pages with surviving rows (late
-    materialization). Aggregates fold into the caller's running
-    :class:`AggState` with the per-page kernel's floating-point
+    The one kernel every placement runs. Its results, counters and touched
+    bytes are those of driving :class:`PageKernel` over each page of the
+    unit, with the decode and expression work batched across the unit's
+    concatenated rows. The predicate evaluates first over just its own
+    columns; every other column is then decoded only for pages with
+    surviving rows (late materialization). Aggregates fold into the
+    caller's running :class:`AggState` with the per-page floating-point
     accumulation order preserved bit for bit: scalar aggregates per page
     segment in page order, grouped aggregates once per unit — each group's
     per-page partials are computed in one ``bincount`` and added onto the
     running value page by page.
-
-    Queries whose expressions are not :func:`batch_exact` (clamping
-    combinators in reduced-active positions) transparently run the
-    page-at-a-time path via :attr:`page_kernel`.
     """
 
     def __init__(self, query: Query, schema: Schema, layout: Layout,
                  hash_table: Optional[HashTable] = None,
                  ctx_factory: type[EvalContext] = EvalContext):
-        self.page_kernel = PageKernel(query, schema, layout,
-                                      hash_table=hash_table,
-                                      ctx_factory=ctx_factory)
+        if query.join is not None and hash_table is None:
+            raise PlanError("join query needs a built hash table")
         self.query = query
         self.schema = schema
         self.layout = layout
         self.hash_table = hash_table
         self.ctx_factory = ctx_factory
-        self.needed_columns = self.page_kernel.needed_columns
+        self.needed_columns = query.probe_side_columns()
+        for name in self.needed_columns:
+            schema.column_index(name)  # validate early
         pred_names = (set(query.predicate.columns())
                       if query.predicate is not None else None)
         #: Columns the predicate needs (everything, without a predicate).
@@ -696,11 +611,6 @@ class BatchKernel:
         #: per-page kernel; emit per-page chunks to preserve that.
         self.per_page_output = bool(query.distinct
                                     or query.limit is not None)
-        exprs = [query.predicate, query.post_predicate,
-                 *(expr for __, expr in query.select),
-                 *(agg.expr for agg in query.aggregates
-                   if agg.expr is not None)]
-        self.is_batch_exact = all(batch_exact(expr) for expr in exprs)
 
     # -- entry points --------------------------------------------------------
 
@@ -715,8 +625,6 @@ class BatchKernel:
         its original position within the unit (after any pruning).
         """
         offsets = list(range(len(pages))) if offsets is None else list(offsets)
-        if not self.is_batch_exact:
-            return self._unit_via_pages(pages, counters, agg_into, offsets)
         unit = UnitColumns(self.schema, pages)
         n = unit.total_rows
         counters.pages_parsed += unit.page_count
@@ -727,7 +635,7 @@ class BatchKernel:
         columns = unit.decode(self.predicate_columns)
         ctx = self.ctx_factory(columns, n, counters, self.layout)
         if self.query.predicate is not None:
-            mask = self.query.predicate.evaluate(ctx, n)
+            mask = self.query.predicate.evaluate(ctx)
             survivors = np.nonzero(mask)[0]
         else:
             survivors = np.arange(n)
@@ -766,12 +674,9 @@ class BatchKernel:
         starts = np.zeros(page_count + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
         n = int(starts[-1])
-        if not self.is_batch_exact:
-            return self._decoded_via_pages(columns, starts, counts,
-                                           counters, agg_into, offsets)
         ctx = self.ctx_factory(columns, n, counters, self.layout)
         if self.query.predicate is not None:
-            mask = self.query.predicate.evaluate(ctx, n)
+            mask = self.query.predicate.evaluate(ctx)
             survivors = np.nonzero(mask)[0]
         else:
             survivors = np.arange(n)
@@ -780,48 +685,6 @@ class BatchKernel:
                     for name in self.needed_columns}
         return self._finish(filtered, page_of, len(survivors), page_count,
                             offsets, counters, agg_into, touched=0)
-
-    # -- per-page fallbacks (non-batch-exact expressions) --------------------
-
-    def _unit_via_pages(self, pages: Sequence[bytes],
-                        counters: WorkCounters,
-                        agg_into: Optional[AggState],
-                        offsets: Sequence[int]) -> UnitPartial:
-        chunks = []
-        touched = 0
-        rows = 0
-        for offset, page in zip(offsets, pages):
-            partial = self.page_kernel.process_page(page)
-            counters.add(partial.counters)
-            touched += partial.touched_nbytes
-            rows += partial.row_count
-            if partial.columns is not None:
-                chunks.append((offset, partial.columns))
-            else:
-                agg_into.merge(partial.agg, self.query.aggregates)
-        return UnitPartial(row_count=rows, chunks=chunks,
-                           touched_nbytes=touched)
-
-    def _decoded_via_pages(self, columns: dict[str, np.ndarray],
-                           starts: np.ndarray, counts: np.ndarray,
-                           counters: WorkCounters,
-                           agg_into: Optional[AggState],
-                           offsets: Sequence[int]) -> UnitPartial:
-        chunks = []
-        rows = 0
-        for position, offset in enumerate(offsets):
-            lo, hi = int(starts[position]), int(starts[position + 1])
-            page_columns = {name: values[lo:hi]
-                            for name, values in columns.items()}
-            partial = self.page_kernel.process_decoded(
-                page_columns, int(counts[position]))
-            counters.add(partial.counters)
-            rows += partial.row_count
-            if partial.columns is not None:
-                chunks.append((offset, partial.columns))
-            else:
-                agg_into.merge(partial.agg, self.query.aggregates)
-        return UnitPartial(row_count=rows, chunks=chunks, touched_nbytes=0)
 
     # -- shared tail: probe, post-predicate, project / aggregate -------------
 
@@ -847,7 +710,7 @@ class BatchKernel:
 
         if self.query.post_predicate is not None:
             post_ctx = self.ctx_factory(filtered, k, counters, self.layout)
-            post_mask = self.query.post_predicate.evaluate(post_ctx, k)
+            post_mask = self.query.post_predicate.evaluate(post_ctx)
             keep = np.nonzero(post_mask)[0]
             filtered = {name: values[keep]
                         for name, values in filtered.items()}
@@ -875,7 +738,7 @@ class BatchKernel:
                  counters: WorkCounters, touched: int) -> UnitPartial:
         out_columns = {}
         for name, expr in self.query.select:
-            values = np.asarray(expr.evaluate(out_ctx, k))
+            values = np.asarray(expr.evaluate(out_ctx))
             if values.ndim == 0:
                 values = np.full(k, values)
             out_columns[name] = values
@@ -929,7 +792,7 @@ class BatchKernel:
             counters.aggregate_updates += k
             if agg.kind == "count":
                 continue
-            values = np.asarray(agg.expr.evaluate(out_ctx, k))
+            values = np.asarray(agg.expr.evaluate(out_ctx))
             if values.ndim == 0:
                 values = np.full(k, values)
             if agg.kind == "sum":
@@ -998,7 +861,7 @@ class BatchKernel:
             counters.aggregate_updates += k
             running = [entry.get(agg.name) for entry in entries]
             if agg.kind == "sum":
-                values = np.asarray(agg.expr.evaluate(out_ctx, k))
+                values = np.asarray(agg.expr.evaluate(out_ctx))
                 partials = np.bincount(
                     cell, weights=values.astype(np.float64),
                     minlength=cell_count).reshape(page_count, group_count)
@@ -1015,7 +878,7 @@ class BatchKernel:
                     totals = np.bincount(code, minlength=group_count)
                 else:
                     # min/max are order-free: one reduction over the unit.
-                    values = np.asarray(agg.expr.evaluate(out_ctx, k))
+                    values = np.asarray(agg.expr.evaluate(out_ctx))
                     reducer = (np.minimum if agg.kind == "min"
                                else np.maximum)
                     fill = values.max() if agg.kind == "min" \

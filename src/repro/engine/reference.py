@@ -42,7 +42,7 @@ def run_reference(query: Query, schemas: dict[str, Schema],
     ctx = EvalContext(columns, n, scratch, Layout.PAX)
 
     if query.predicate is not None:
-        mask = query.predicate.evaluate(ctx, n)
+        mask = query.predicate.evaluate(ctx)
         keep = np.nonzero(mask)[0]
     else:
         keep = np.arange(n)
@@ -55,7 +55,7 @@ def run_reference(query: Query, schemas: dict[str, Schema],
         build_n = len(tables[spec.build_table])
         if spec.build_predicate is not None:
             bctx = EvalContext(build_columns, build_n, scratch, Layout.PAX)
-            bmask = spec.build_predicate.evaluate(bctx, build_n)
+            bmask = spec.build_predicate.evaluate(bctx)
             build_keep = np.nonzero(bmask)[0]
         else:
             build_keep = np.arange(build_n)
@@ -84,7 +84,7 @@ def run_reference(query: Query, schemas: dict[str, Schema],
 
     if query.post_predicate is not None:
         post_ctx = EvalContext(filtered, k, scratch, Layout.PAX)
-        post_mask = query.post_predicate.evaluate(post_ctx, k)
+        post_mask = query.post_predicate.evaluate(post_ctx)
         keep = np.nonzero(post_mask)[0]
         filtered = {name: values[keep] for name, values in filtered.items()}
         k = len(keep)
@@ -94,7 +94,7 @@ def run_reference(query: Query, schemas: dict[str, Schema],
     if query.select:
         out = {}
         for name, expr in query.select:
-            values = np.asarray(expr.evaluate(out_ctx, k))
+            values = np.asarray(expr.evaluate(out_ctx))
             if values.ndim == 0:
                 values = np.full(k, values)
             out[name] = values
@@ -117,7 +117,7 @@ def run_reference(query: Query, schemas: dict[str, Schema],
         if agg.kind == "count":
             result[agg.name] = k
             continue
-        values = np.asarray(agg.expr.evaluate(out_ctx, k))
+        values = np.asarray(agg.expr.evaluate(out_ctx))
         if k == 0:
             result[agg.name] = 0 if agg.kind == "sum" else None
         elif agg.kind == "sum":
@@ -152,7 +152,7 @@ def _grouped_reference(query: Query, ctx: EvalContext,
             if agg.kind == "count":
                 entry[agg.name] = len(members)
                 continue
-            values = np.asarray(agg.expr.evaluate(sub_ctx, len(members)))
+            values = np.asarray(agg.expr.evaluate(sub_ctx))
             if agg.kind == "sum":
                 acc = values.astype(np.float64) if values.dtype.kind == "f" \
                     else values.astype(np.int64)

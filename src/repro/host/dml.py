@@ -84,7 +84,7 @@ def update_process(db: "Database", table_name: str, predicate: Expr | None,
                 {name: rows[name].copy() for name in schema.names},
                 n, counters, table.layout)
             if predicate is not None:
-                mask = np.asarray(predicate.evaluate(ctx, n), dtype=bool)
+                mask = np.asarray(predicate.evaluate(ctx), dtype=bool)
             else:
                 mask = np.ones(n, dtype=bool)
             hit_count = int(mask.sum())
@@ -93,7 +93,7 @@ def update_process(db: "Database", table_name: str, predicate: Expr | None,
             for name, value in assignments.items():
                 column = schema.column(name)
                 if isinstance(value, Expr):
-                    values = np.asarray(value.evaluate(ctx, hit_count))
+                    values = np.asarray(value.evaluate(ctx, mask))
                     if values.ndim == 0:
                         values = np.full(n, values)
                     rows[name][mask] = values[mask]

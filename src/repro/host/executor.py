@@ -3,7 +3,7 @@
 Two placements for the same query:
 
 * :func:`host_query_process` — the conventional path: heap pages cross the
-  host interface into the buffer pool and the page kernels run on the host
+  host interface into the buffer pool and the batch kernel runs on the host
   CPU. I/O and compute overlap through a windowed pipeline of I/O units.
 * :func:`smart_query_process` — the pushdown path: the host OPENs a session
   on the Smart SSD, the device streams pages internally and runs the same
@@ -83,7 +83,7 @@ def _empty_select_columns(query: Query, schema: "Schema",
     ctx = EvalContext(columns, 0, WorkCounters(), Layout.PAX)
     out = {}
     for name, expr in query.select:
-        values = np.asarray(expr.evaluate(ctx, 0))
+        values = np.asarray(expr.evaluate(ctx))
         if values.ndim == 0:
             values = np.full(0, values)
         out[name] = values

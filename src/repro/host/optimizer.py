@@ -84,7 +84,7 @@ def estimate_selectivity(db: "Database", query: Query,
             continue
         columns = decode_columns(table.schema, page, needed)
         ctx = EvalContext(columns, header.tuple_count, scratch, table.layout)
-        mask = query.predicate.evaluate(ctx, header.tuple_count)
+        mask = query.predicate.evaluate(ctx)
         passed += int(np.count_nonzero(mask))
         total += header.tuple_count
     return passed / total if total else 1.0

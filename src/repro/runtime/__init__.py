@@ -4,14 +4,14 @@ The paper's argument is that query processing belongs where the aggregate
 bandwidth is — across many Smart SSDs at once. This package gives the
 *host side* of that story real parallelism: the scheduler's per-device
 work units are partitioned into independent lanes, each lane runs in an
-isolated clone of the simulated world on a worker (thread or forked
-process), and the results are deterministically replayed onto the parent
-world so every backend is bit-identical to the serial engine — same rows,
-counters, virtual times, energy floats, and goldens.
+isolated clone of the simulated world in a forked worker process, and the
+results are deterministically replayed onto the parent world so every
+backend is bit-identical to the serial engine — same rows, counters,
+virtual times, energy floats, and goldens.
 
 Entry points: set ``SchedulerConfig.backend`` (or ``ServeConfig.backend``)
-to ``"serial"`` / ``"thread"`` / ``"process"``. See docs/PERFORMANCE.md
-for when lanes can and cannot split and the exact determinism contract.
+to ``"serial"`` or ``"process"``. See docs/PERFORMANCE.md for when lanes
+can and cannot split and the exact determinism contract.
 """
 
 from repro.runtime.backends import (
@@ -19,7 +19,6 @@ from repro.runtime.backends import (
     LaneExecutionError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.runtime.lanes import LanePlan, plan_lanes
@@ -43,7 +42,6 @@ __all__ = [
     "LaneWorld",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "clone_lane_worlds",
     "merge_lane_results",
     "plan_lanes",

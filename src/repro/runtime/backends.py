@@ -1,19 +1,19 @@
-"""Pluggable execution backends: serial, thread, and process fleets.
+"""Pluggable execution backends: the serial engine and a process fleet.
 
 ``QueryScheduler`` hands every planned batch to a backend. The serial
 backend is the engine that has always existed — one simulator, one OS
-thread. The parallel backends carve the batch into device lanes
-(:mod:`repro.runtime.lanes`), run each lane in its own cloned world
-(:mod:`repro.runtime.worlds`) on a worker, and replay the results onto
-the parent (:mod:`repro.runtime.merge`). Any batch the planner or the
+thread. The process backend carves the batch into device lanes
+(:mod:`repro.runtime.lanes`), runs each lane in its own cloned world
+(:mod:`repro.runtime.worlds`) in a forked worker, and replays the results
+onto the parent (:mod:`repro.runtime.merge`). Any batch the planner or the
 validator cannot prove independent silently runs on the serial engine
 instead — parallelism is an optimization, never a semantic.
 
-Worker setup is amortized: lane worlds (and, for the process backend, the
-forked workers holding them) are built once per *fleet* and reused for
-every batch until the parent world's fingerprint changes, a batch is
-discarded, or the lane partition shifts. The process backend requires the
-``fork`` start method so clones transfer by page-table copy, not pickle.
+Worker setup is amortized: lane worlds and the forked workers holding
+them are built once per *fleet* and reused for every batch until the
+parent world's fingerprint changes, a batch is discarded, or the lane
+partition shifts. The process backend requires the ``fork`` start method
+so clones transfer by page-table copy, not pickle.
 
 Per-scheduler accounting lands in ``scheduler.runtime_stats``:
 ``parallel_batches`` / ``serial_batches`` counts, ``fleet_builds``, and a
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import threading
 from dataclasses import replace
 from typing import Optional
 
@@ -39,7 +38,7 @@ from repro.runtime.worlds import (
 )
 
 #: The recognized backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 class LaneExecutionError(Exception):
@@ -58,11 +57,16 @@ class SerialBackend:
         pass
 
 
-class _FleetBackend:
-    """Shared orchestration of the thread and process backends."""
+class ProcessBackend:
+    """Lane worlds in forked worker processes, one long-lived per lane.
 
-    name = "fleet"
-    _needs_pickle = False
+    Workers are forked *after* the lane worlds exist, so the shard tables
+    transfer by copy-on-write page mapping — once per fleet, not per
+    query. Batches and results cross a pipe; they are small (queries and
+    outcome rows), the world never crosses again.
+    """
+
+    name = "process"
 
     def __init__(self):
         self._fleet = None
@@ -75,7 +79,7 @@ class _FleetBackend:
         plan, reason = plan_lanes(scheduler, units)
         if plan is None:
             return self._fallback(scheduler, units, reason)
-        if not self._available():
+        if "fork" not in multiprocessing.get_all_start_methods():
             return self._fallback(scheduler, units, "backend_unavailable")
         sim = scheduler.db.sim
         start = sim.now
@@ -125,11 +129,10 @@ class _FleetBackend:
         batches = [LaneBatch(start=start, units=tuple(lane_units),
                              obs=obs, trace=trace)
                    for lane_units in per_lane]
-        if self._needs_pickle:
-            try:
-                pickle.dumps(batches, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                return None
+        try:
+            pickle.dumps(batches, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return None
         return batches
 
     def _ensure_fleet(self, scheduler, plan: LanePlan):
@@ -140,7 +143,7 @@ class _FleetBackend:
         self._invalidate()
         lane_config = replace(scheduler.config, backend="serial")
         worlds = clone_lane_worlds(scheduler.db, plan.groups, lane_config)
-        self._fleet = self._make_fleet(worlds)
+        self._fleet = _ProcessFleet(worlds)
         self._fingerprint = fingerprint
         self._groups = plan.groups
         scheduler.runtime_stats["fleet_builds"] += 1
@@ -155,78 +158,6 @@ class _FleetBackend:
 
     def close(self) -> None:
         self._invalidate()
-
-    # -- backend hooks -----------------------------------------------------
-
-    def _available(self) -> bool:
-        return True
-
-    def _make_fleet(self, worlds):
-        raise NotImplementedError
-
-
-class ThreadBackend(_FleetBackend):
-    """Lane worlds on Python threads in this process.
-
-    Pure-Python simulation is GIL-bound, so this backend buys little
-    wall-clock on CPython — its value is exercising the exact fleet
-    machinery (clone, record, validate, replay) without process plumbing,
-    and it is the natural backend for GIL-free builds.
-    """
-
-    name = "thread"
-
-    def _make_fleet(self, worlds):
-        return _ThreadFleet(worlds)
-
-
-class ProcessBackend(_FleetBackend):
-    """Lane worlds in forked worker processes, one long-lived per lane.
-
-    Workers are forked *after* the lane worlds exist, so the shard tables
-    transfer by copy-on-write page mapping — once per fleet, not per
-    query. Batches and results cross a pipe; they are small (queries and
-    outcome rows), the world never crosses again.
-    """
-
-    name = "process"
-    _needs_pickle = True
-
-    def _available(self) -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _make_fleet(self, worlds):
-        return _ProcessFleet(worlds)
-
-
-class _ThreadFleet:
-    def __init__(self, worlds):
-        self.worlds = worlds
-
-    def run(self, batches):
-        results = [None] * len(batches)
-        errors = []
-
-        def work(lane: int) -> None:
-            try:
-                results[lane] = self.worlds[lane].run_batch(batches[lane])
-            except BaseException as exc:  # surfaced as a batch-level retry
-                errors.append((lane, exc))
-
-        threads = [threading.Thread(target=work, args=(lane,),
-                                    name=f"repro-lane-{lane}")
-                   for lane in range(len(batches))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            lane, exc = errors[0]
-            raise LaneExecutionError(f"lane {lane}: {exc!r}") from exc
-        return results
-
-    def close(self) -> None:
-        self.worlds = []
 
 
 def _process_worker(conn, world) -> None:
@@ -302,8 +233,6 @@ def resolve_backend(name: str):
     """Instantiate the named backend (each scheduler owns its own fleet)."""
     if name == "serial":
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend()
     if name == "process":
         return ProcessBackend()
     raise PlanError(f"unknown runtime backend {name!r}; expected one of "

@@ -103,10 +103,10 @@ class SchedulerConfig:
     io_unit_pages: Optional[int] = None
     window: Optional[int] = None
     #: Execution backend: ``"serial"`` (one simulator, the historical
-    #: engine), ``"thread"``, or ``"process"`` (per-device lanes in
-    #: isolated worlds — see :mod:`repro.runtime`). Every backend is
-    #: bit-identical; parallel ones silently run batches they cannot
-    #: prove independent on the serial engine.
+    #: engine) or ``"process"`` (per-device lanes in forked isolated
+    #: worlds — see :mod:`repro.runtime`). Both are bit-identical; the
+    #: process backend silently runs batches it cannot prove independent
+    #: on the serial engine.
     backend: str = "serial"
 
 

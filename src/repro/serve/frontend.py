@@ -78,11 +78,11 @@ class ServeConfig:
     #: Queries one tenant may hold pending before :meth:`Frontend.submit`
     #: raises :class:`~repro.errors.AdmissionRejected`.
     max_queue_per_tenant: int = 1024
-    #: Execution backend for the device batch — ``"serial"``,
-    #: ``"thread"``, or ``"process"`` (see :mod:`repro.runtime`). ``None``
-    #: uses whatever the ``scheduler`` config says. All backends produce
-    #: bit-identical results; parallel ones trade worker setup for
-    #: wall-clock when shards live on distinct devices.
+    #: Execution backend for the device batch — ``"serial"`` or
+    #: ``"process"`` (see :mod:`repro.runtime`). ``None`` uses whatever
+    #: the ``scheduler`` config says. Both produce bit-identical results;
+    #: the process backend trades worker setup for wall-clock when shards
+    #: live on distinct devices.
     backend: Optional[str] = None
 
 
@@ -272,6 +272,9 @@ class Frontend:
         with its bump suppressed, and the *logical* table version rises
         exactly once after the last shard flushed — a cache entry can
         never bind a version in which some shards are new and others old.
+        If any shard's apply or flush raises, the version is bumped before
+        the error propagates: the shards already written stay written, but
+        no cached result computed before the failure is served again.
         """
         catalog = self.db.catalog
         if catalog.is_sharded(table_name):
@@ -282,12 +285,16 @@ class Frontend:
             names = [table_name]
         start = self.db.sim.now
         changed = 0
-        for name in names:
-            changed += self.db.update_rows(name, predicate, assignments,
-                                           bump_version=False)
-            self.db.flush_table(name)
-        if changed:
-            catalog.bump_version(table_name)
+        failed = True
+        try:
+            for name in names:
+                changed += self.db.update_rows(name, predicate, assignments,
+                                               bump_version=False)
+                self.db.flush_table(name)
+            failed = False
+        finally:
+            if changed or failed:
+                catalog.bump_version(table_name)
         obs = self.db.sim.obs
         if obs is not None:
             obs.metrics.counter("serve.invalidations",

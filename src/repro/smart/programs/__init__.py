@@ -4,7 +4,7 @@ The paper uploads "code for simple selection, aggregation, and selection
 with join queries" (§4.1.2). Each program validates that an OPEN request
 matches its shape, then runs the shared in-device execution engine
 (:mod:`repro.smart.programs.base`), which streams heap pages from flash,
-runs the page kernels on the device CPU, and stages results for GET.
+runs the batch kernel on the device CPU, and stages results for GET.
 The shared-scan program (:mod:`repro.smart.programs.shared`) extends the
 set with a multi-query circular scan that serves the host scheduler's
 cooperative scan sharing.

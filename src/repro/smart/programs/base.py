@@ -5,7 +5,7 @@ device as a windowed pipeline over 32-page I/O units:
 
 1. the flash controller streams a unit into device DRAM (channels in
    parallel, DMA serialized on the shared DRAM bus);
-2. the device CPU runs the page kernels — the *same* kernels the host
+2. the device CPU runs the batch kernel — the *same* kernel the host
    executor uses — re-crossing the DRAM bus for the page bytes it actually
    touches (whole records under NSM, only the referenced minipages under
    PAX);
@@ -29,8 +29,8 @@ from repro.engine.kernels import (
     AggState,
     BatchKernel,
     BuildCollector,
-    PageKernel,
     TopNState,
+    UnitPartial,
 )
 from repro.engine.plans import Query
 from repro.engine.pruning import PagePruner, build_pruner
@@ -156,23 +156,25 @@ def extent_pruner(device: "SmartSsd", heap: HeapFile,
     return pruner, stats
 
 
-def _empty_partial(kernel: PageKernel):
-    """Run the kernel over a zero-row input.
+def _empty_unit(kernel: BatchKernel,
+                agg_into: Optional[AggState] = None) -> UnitPartial:
+    """Run the kernel over one zero-row page.
 
-    Data skipping can leave a scan with no processed pages at all; folding
-    this partial in reproduces exactly what an unpruned scan of zero
-    qualifying rows would have produced (typed empty chunks for selects,
-    count=0 / sum=0 identities for aggregates).
+    Data skipping can leave a scan with no processed pages at all; this
+    reproduces exactly what an unpruned scan of zero qualifying rows would
+    have produced (a typed empty chunk for selects, count=0 / sum=0
+    identities folded into ``agg_into`` for aggregates).
     """
     columns = {
         name: np.empty(0, dtype=kernel.schema.column(name).ctype.numpy_dtype)
         for name in kernel.needed_columns}
-    return kernel.process_decoded(columns, 0)
+    return kernel.process_decoded_unit(columns, [0], counters=WorkCounters(),
+                                       agg_into=agg_into)
 
 
-def _empty_select_chunk(kernel: PageKernel) -> dict:
+def _empty_select_chunk(kernel: BatchKernel) -> dict:
     """A zero-row chunk with the exact output dtypes the kernel produces."""
-    return _empty_partial(kernel).columns
+    return _empty_unit(kernel).chunks[0][1]
 
 
 def execute_query(device: "SmartSsd", session: "Session",
@@ -374,7 +376,7 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         if device_topn:
             final = topn.finish()
             if final is None:
-                final = _empty_select_chunk(kernel.page_kernel)
+                final = _empty_select_chunk(kernel)
             nbytes = RESULT_FRAME_NBYTES + sum(
                 array.nbytes for array in final.values())
             yield from device.controller.dram_bus.transfer(
@@ -386,7 +388,7 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         elif select_mode and not chunks_pushed[0]:
             # Every page was pruned: ship one typed empty chunk so the
             # host merge keeps the query's output dtypes.
-            proto = _empty_select_chunk(kernel.page_kernel)
+            proto = _empty_select_chunk(kernel)
             yield from device.controller.dram_bus.transfer(
                 RESULT_FRAME_NBYTES,
                 None if obs is None else obs.span(
@@ -396,9 +398,8 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         elif not select_mode:
             # Zero-row identity: if skipping pruned every page, this gives
             # the same count=0 / sum=0 result an unpruned scan of zero
-            # qualifying rows yields; otherwise it merges as a no-op.
-            agg_total.merge(_empty_partial(kernel.page_kernel).agg,
-                            query.aggregates)
+            # qualifying rows yields; otherwise it folds in as a no-op.
+            _empty_unit(kernel, agg_into=agg_total)
             nbytes = RESULT_FRAME_NBYTES + AGG_VALUE_NBYTES * (
                 len(query.aggregates) * max(1, len(agg_total.groups) or 1))
             yield from device.controller.dram_bus.transfer(

@@ -233,7 +233,7 @@ def _shared_scan_body(device: "SmartSsd", session: "Session",
         if member.select and not member.chunks_pushed:
             # Every page was pruned for this rider: ship one typed empty
             # chunk so the host merge keeps the query's output dtypes.
-            proto = _empty_select_chunk(member.kernel_cold.page_kernel)
+            proto = _empty_select_chunk(member.kernel_cold)
             yield from device.controller.dram_bus.transfer(
                 RESULT_FRAME_NBYTES,
                 None if obs is None else obs.span(

@@ -5,11 +5,14 @@ once — batched decode, unit-wide predicate, late materialization — but it
 must be indistinguishable from driving :class:`PageKernel` page by page:
 same output rows, same work counters (the inputs to virtual time), same
 touched bytes. This suite drives both over the same random pages and
-compares everything, including the non-batch-exact predicate shapes that
-force the batch kernel onto its per-page fallback, and the NSM layout
-where decode degrades to whole-record parsing. The pages are cut into one
-or more I/O units folded into one running aggregate state, through both
-the page-bytes entry point and the shared-scan (already decoded) one.
+compares everything, including combinators nested on the short-circuited
+side of an ``AND``/``OR`` (whose charges add up across pages only because
+each node is charged per row of its active set), and the NSM layout where
+decode degrades to whole-record parsing. The pages are cut into one or
+more I/O units folded into one running aggregate state, through both the
+page-bytes entry point and the shared-scan (already decoded) one. The
+join build side's :class:`BuildCollector` is held to the same rule: one
+multi-page batch must match consuming the pages one at a time.
 """
 
 import numpy as np
@@ -32,8 +35,9 @@ from repro.engine import (
 from repro.engine.kernels import (
     AggState,
     BatchKernel,
+    BuildCollector,
     HashTable,
-    batch_exact,
+    PageKernel,
 )
 from repro.model.counters import WorkCounters, counter_field_names
 from repro.storage import (
@@ -70,15 +74,25 @@ _COLUMNS = st.sampled_from(["a", "b"])
 
 
 @st.composite
-def predicates(draw, depth=2):
-    """Random predicates, including nested combinator shapes that are not
-    batch-exact (so the per-page fallback is exercised too)."""
+def predicates(draw, depth=2, columns=_COLUMNS):
+    """Random predicates, including combinators nested on the
+    short-circuited right side of another."""
     if depth == 0 or draw(st.booleans()):
-        return Compare(Col(draw(_COLUMNS)), draw(_OPS),
+        return Compare(Col(draw(columns)), draw(_OPS),
                        Const(draw(st.integers(-5, 25))))
     combiner = draw(st.sampled_from([And, Or]))
-    return combiner(draw(predicates(depth=depth - 1)),
-                    draw(predicates(depth=depth - 1)))
+    return combiner(draw(predicates(depth - 1, columns)),
+                    draw(predicates(depth - 1, columns)))
+
+
+@st.composite
+def right_nested_predicates(draw, columns):
+    """A combinator whose right side is itself a combinator."""
+    outer, inner = draw(st.lists(st.sampled_from([And, Or]),
+                                 min_size=2, max_size=2))
+    return outer(draw(predicates(1, columns)),
+                 inner(draw(predicates(1, columns)),
+                       draw(predicates(1, columns))))
 
 
 @st.composite
@@ -214,7 +228,8 @@ def test_batch_kernel_matches_page_kernel(query, data, layout, cuts,
     batch = BatchKernel(query, SCHEMA, layout, hash_table=table)
 
     ref_counters, ref_touched, ref_chunks, ref_agg = _page_reference(
-        batch.page_kernel, pages, query, decoded)
+        PageKernel(query, SCHEMA, layout, hash_table=table), pages, query,
+        decoded)
 
     # One or more units folding into one running state.
     counters = WorkCounters()
@@ -277,12 +292,34 @@ def test_late_materialization_elides_dead_pages(data, layout):
     assert counters.decoded_bytes == len(rows) * SCHEMA.column("a").nbytes
 
 
-def test_batch_exact_flags_reduced_active_combinators():
-    flat = And(Compare(Col("a"), ">", Const(0)),
-               Compare(Col("b"), ">", Const(0)))
-    assert batch_exact(flat)
-    # and_all-style left-nested chains stay exact...
-    assert batch_exact(And(flat, Compare(Col("a"), "<", Const(9))))
-    # ...but a combinator on the clamped right side is not.
-    assert not batch_exact(And(Compare(Col("a"), ">", Const(0)), flat))
-    assert batch_exact(None)
+@given(st.integers(0, 2**31), st.integers(1, 6000),
+       right_nested_predicates(st.sampled_from(["pk", "payload"])),
+       st.sampled_from([Layout.NSM, Layout.PAX]))
+@settings(max_examples=40, deadline=None)
+def test_build_collector_batch_matches_per_page(seed, n, predicate, layout):
+    """A build predicate with a nested right-side combinator charges and
+    keeps the same over one multi-page batch as over its pages one by
+    one."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty(n, dtype=DIM_SCHEMA.numpy_dtype())
+    rows["pk"] = rng.permutation(n)
+    rows["payload"] = rng.integers(-10, 30, n)
+    pages = build_heap_pages(DIM_SCHEMA, rows, layout)
+    spec = JoinSpec(build_table="dim", build_key="pk", probe_key="fk",
+                    payload=("payload",), build_predicate=predicate)
+
+    batch_counters = WorkCounters()
+    batch = BuildCollector(DIM_SCHEMA, spec)
+    batch_touched = batch.consume(pages, batch_counters, layout)
+    page_counters = WorkCounters()
+    paged = BuildCollector(DIM_SCHEMA, spec)
+    page_touched = sum(paged.consume([page], page_counters, layout)
+                       for page in pages)
+
+    for name in counter_field_names():
+        assert getattr(batch_counters, name) == \
+            getattr(page_counters, name), name
+    assert batch_touched == page_touched
+    got, want = batch.finish(), paged.finish()
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.payload["payload"], want.payload["payload"])

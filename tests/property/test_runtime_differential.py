@@ -1,6 +1,6 @@
 """Serial-vs-parallel differential for the fleet runtime (repro.runtime).
 
-The contract under test: every execution backend — serial, thread,
+The contract under test: every execution backend — serial and
 process — produces *bit-identical* results. Same rows, same work
 counters, same virtual elapsed seconds, same energy floats, same final
 clock, same cache keys. Hypothesis drives the workload shape (shard
@@ -29,7 +29,6 @@ from repro.workloads.tpch import (
     q6_query,
 )
 
-BACKENDS = ("serial", "thread", "process")
 LINEITEM = generate_lineitem(0.001)
 
 
@@ -157,23 +156,21 @@ class TestBackendDifferential:
            workload=workload_strategy)
     def test_backends_bit_identical(self, kind, shards, workload):
         reference = run_workload("serial", kind, shards, workload)
-        for backend in ("thread", "process"):
-            candidate = run_workload(backend, kind, shards, workload)
-            assert_identical(reference, candidate, backend)
+        candidate = run_workload("process", kind, shards, workload)
+        assert_identical(reference, candidate, "process")
 
     def test_parallel_path_engages(self):
         """Guard against a vacuously-green differential: on a multi-shard
-        scatter with no faults, the parallel backends must actually run
+        scatter with no faults, the process backend must actually run
         lanes, not fall back to serial."""
         workload = [("q6", "alpha", 0.0), ("q1", "beta", 0.001)]
         reference = run_workload("serial", "hash", 4, workload)
         assert reference["runtime"]["parallel_batches"] == 0
-        for backend in ("thread", "process"):
-            candidate = run_workload(backend, "hash", 4, workload)
-            assert_identical(reference, candidate, backend)
-            assert candidate["runtime"]["parallel_batches"] >= 1, (
-                backend, candidate["runtime"])
-            assert candidate["runtime"]["fleet_builds"] >= 1
+        candidate = run_workload("process", "hash", 4, workload)
+        assert_identical(reference, candidate, "process")
+        assert candidate["runtime"]["parallel_batches"] >= 1, \
+            candidate["runtime"]
+        assert candidate["runtime"]["fleet_builds"] >= 1
 
     def test_fault_plan_runs_identical_in_every_backend(self):
         """A crashing device forces the scheduler's rescue ladder. The
@@ -189,9 +186,8 @@ class TestBackendDifferential:
         reference = run_workload("serial", "hash", 3, workload,
                                  plan_factory=crash_plan)
         assert reference["fault_fires"] >= 1
-        for backend in ("thread", "process"):
-            candidate = run_workload(backend, "hash", 3, workload,
-                                     plan_factory=crash_plan)
-            assert_identical(reference, candidate, backend)
-            assert candidate["runtime"]["parallel_batches"] == 0
-            assert "fault_plan" in candidate["runtime"]["fallbacks"]
+        candidate = run_workload("process", "hash", 3, workload,
+                                 plan_factory=crash_plan)
+        assert_identical(reference, candidate, "process")
+        assert candidate["runtime"]["parallel_batches"] == 0
+        assert "fault_plan" in candidate["runtime"]["fallbacks"]

@@ -92,7 +92,7 @@ def _page_qualifiers(predicate, chunk: np.ndarray) -> int:
     columns = {name: np.ascontiguousarray(chunk[name])
                for name in predicate.columns()}
     ctx = EvalContext(columns, n, WorkCounters(), Layout.PAX)
-    return int(np.count_nonzero(predicate.evaluate(ctx, n)))
+    return int(np.count_nonzero(predicate.evaluate(ctx)))
 
 
 @given(datasets(), predicates())

@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.errors import ExpressionError
 from repro.model import WorkCounters
+from repro.model.counters import counter_field_names
 from repro.storage.layout import Layout
 
 
@@ -31,52 +32,52 @@ def make_ctx(columns, layout=Layout.PAX):
 class TestScalarNodes:
     def test_col_returns_array_and_charges_extract(self):
         ctx, n = make_ctx({"x": np.array([1, 2, 3])})
-        out = Col("x").evaluate(ctx, n)
+        out = Col("x").evaluate(ctx)
         assert out.tolist() == [1, 2, 3]
         assert ctx.counters.pax_values_extracted == 3
 
     def test_col_nsm_charges_nsm_extract(self):
         ctx, n = make_ctx({"x": np.array([1, 2])}, layout=Layout.NSM)
-        Col("x").evaluate(ctx, n)
+        Col("x").evaluate(ctx)
         assert ctx.counters.nsm_values_extracted == 2
         assert ctx.counters.pax_values_extracted == 0
 
     def test_missing_column_rejected(self):
         ctx, n = make_ctx({"x": np.array([1])})
         with pytest.raises(ExpressionError):
-            Col("y").evaluate(ctx, n)
+            Col("y").evaluate(ctx)
 
     def test_const_is_free(self):
         ctx, n = make_ctx({"x": np.array([1, 2])})
-        assert Const(7).evaluate(ctx, n) == 7
+        assert Const(7).evaluate(ctx) == 7
         assert ctx.counters.total_events() == 0
 
     def test_arithmetic(self):
         ctx, n = make_ctx({"a": np.array([10, 20]), "b": np.array([3, 4])})
-        assert Add(Col("a"), Col("b")).evaluate(ctx, n).tolist() == [13, 24]
-        assert Sub(Col("a"), Col("b")).evaluate(ctx, n).tolist() == [7, 16]
-        assert Mul(Col("a"), Col("b")).evaluate(ctx, n).tolist() == [30, 80]
-        out = Div(Col("a"), Const(4)).evaluate(ctx, n)
+        assert Add(Col("a"), Col("b")).evaluate(ctx).tolist() == [13, 24]
+        assert Sub(Col("a"), Col("b")).evaluate(ctx).tolist() == [7, 16]
+        assert Mul(Col("a"), Col("b")).evaluate(ctx).tolist() == [30, 80]
+        out = Div(Col("a"), Const(4)).evaluate(ctx)
         assert out.tolist() == [2.5, 5.0]
         assert ctx.counters.arithmetic_ops == 4 * n
 
     def test_mul_promotes_int32_to_int64(self):
         big = np.array([2_000_000_000], dtype=np.int32)
         ctx, n = make_ctx({"a": big})
-        out = Mul(Col("a"), Const(4)).evaluate(ctx, n)
+        out = Mul(Col("a"), Const(4)).evaluate(ctx)
         assert out[0] == 8_000_000_000
 
 
 class TestPredicates:
     def test_compare_ops(self):
         ctx, n = make_ctx({"x": np.array([1, 5, 9])})
-        assert Compare(Col("x"), "<", Const(5)).evaluate(ctx, n).tolist() == \
+        assert Compare(Col("x"), "<", Const(5)).evaluate(ctx).tolist() == \
             [True, False, False]
-        assert Compare(Col("x"), ">=", Const(5)).evaluate(ctx, n).tolist() == \
+        assert Compare(Col("x"), ">=", Const(5)).evaluate(ctx).tolist() == \
             [False, True, True]
-        assert Compare(Col("x"), "==", Const(5)).evaluate(ctx, n).tolist() == \
+        assert Compare(Col("x"), "==", Const(5)).evaluate(ctx).tolist() == \
             [False, True, False]
-        assert Compare(Col("x"), "!=", Const(5)).evaluate(ctx, n).tolist() == \
+        assert Compare(Col("x"), "!=", Const(5)).evaluate(ctx).tolist() == \
             [True, False, True]
 
     def test_unknown_operator_rejected(self):
@@ -88,7 +89,7 @@ class TestPredicates:
         ctx, n = make_ctx({"x": np.arange(10), "y": np.arange(10)})
         pred = And(Compare(Col("x"), "<", Const(3)),     # 3 survive
                    Compare(Col("y"), ">", Const(0)))
-        mask = pred.evaluate(ctx, n)
+        mask = pred.evaluate(ctx)
         assert mask.tolist() == [False, True, True] + [False] * 7
         # x compared on 10 rows; y compared on the 3 survivors.
         assert ctx.counters.predicates_evaluated == 10 + 3
@@ -98,7 +99,7 @@ class TestPredicates:
         ctx, n = make_ctx({"x": np.arange(10)})
         pred = Or(Compare(Col("x"), "<", Const(7)),      # 7 pass
                   Compare(Col("x"), "==", Const(9)))     # checked on 3 rows
-        mask = pred.evaluate(ctx, n)
+        mask = pred.evaluate(ctx)
         assert mask.sum() == 8
         assert ctx.counters.predicates_evaluated == 10 + 3
 
@@ -113,7 +114,7 @@ class TestPredicates:
             Compare(Col("x"), "<", Const(20)),
             Compare(Col("x"), "!=", Const(15)),
         ])
-        mask = pred.evaluate(ctx, n)
+        mask = pred.evaluate(ctx)
         assert mask.sum() == 9
         # 100 + 90 (>=10 pass) + 10 (<20 pass) comparisons.
         assert ctx.counters.predicates_evaluated == 100 + 90 + 10
@@ -128,7 +129,7 @@ class TestStrings:
         values = np.array([b"PROMO BRUSHED", b"STANDARD", b"PROMO X"],
                           dtype="S16")
         ctx, n = make_ctx({"p_type": values})
-        mask = LikePrefix(Col("p_type"), "PROMO").evaluate(ctx, n)
+        mask = LikePrefix(Col("p_type"), "PROMO").evaluate(ctx)
         assert mask.tolist() == [True, False, True]
         assert ctx.counters.like_evaluated == 3
 
@@ -141,7 +142,7 @@ class TestCaseWhen:
         ctx, n = make_ctx({"x": np.array([1, 5, 9])})
         expr = CaseWhen(Compare(Col("x"), ">", Const(4)),
                         Mul(Col("x"), Const(10)), Const(0))
-        assert expr.evaluate(ctx, n).tolist() == [0, 50, 90]
+        assert expr.evaluate(ctx).tolist() == [0, 50, 90]
 
     def test_case_requires_boolean_condition(self):
         with pytest.raises(ExpressionError):
@@ -152,7 +153,7 @@ class TestCaseWhen:
         expr = CaseWhen(Compare(Col("x"), ">", Const(4)),
                         Mul(Col("x"), Const(10)),
                         Add(Col("x"), Const(1)))
-        expr.evaluate(ctx, n)
+        expr.evaluate(ctx)
         # THEN-side multiply charged for 2 hits, ELSE-side add for 2 misses.
         assert ctx.counters.arithmetic_ops == 2 + 2
 
@@ -163,4 +164,41 @@ class TestCaseWhen:
     def test_empty_input(self):
         ctx, n = make_ctx({"x": np.array([], dtype=np.int64)})
         expr = CaseWhen(Compare(Col("x"), ">", Const(4)), Const(1), Const(0))
-        assert len(expr.evaluate(ctx, n)) == 0
+        assert len(expr.evaluate(ctx)) == 0
+
+
+#: ``x < 5 AND (x >= 5 OR x = 1)``: the OR sits where only the AND's
+#: survivors are active, so its own split must stay inside them.
+NESTED = And(Compare(Col("x"), "<", Const(5)),
+             Or(Compare(Col("x"), ">=", Const(5)),
+                Compare(Col("x"), "==", Const(1))))
+
+
+class TestPageSplitInvariance:
+    """Each node is charged once per row in its active set, so a table's
+    charges are the same however its rows are cut into pages."""
+
+    @staticmethod
+    def _evaluate_split(expr, sizes):
+        x = np.arange(sum(sizes))
+        counters = WorkCounters()
+        outputs = []
+        for start, stop in zip(np.cumsum([0, *sizes[:-1]]), np.cumsum(sizes)):
+            ctx = EvalContext({"x": x[start:stop]}, int(stop - start),
+                              counters, Layout.PAX)
+            outputs.append(np.asarray(expr.evaluate(ctx)))
+        return counters, np.concatenate(outputs)
+
+    @pytest.mark.parametrize("expr", [
+        NESTED,
+        CaseWhen(NESTED, Mul(Col("x"), Const(10)), Add(Col("x"), Const(1))),
+    ], ids=["and-or", "case-when"])
+    def test_one_page_charges_what_two_pages_do(self, expr):
+        whole, whole_out = self._evaluate_split(expr, [10])
+        halves, halves_out = self._evaluate_split(expr, [5, 5])
+        assert whole_out.tolist() == halves_out.tolist()
+        for name in counter_field_names():
+            assert getattr(whole, name) == getattr(halves, name), name
+        # A tuple-at-a-time engine: x < 5 on 10 rows, x >= 5 on the 5
+        # survivors, x = 1 on the 5 of those it rejects.
+        assert whole.predicates_evaluated == 10 + 5 + 5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine import AggSpec, Col, Const, Mul, Query
-from repro.engine.kernels import AggState, BatchKernel
+from repro.engine.kernels import AggState, BatchKernel, PageKernel
 from repro.model.counters import WorkCounters
 from repro.storage import (
     Column,
@@ -76,13 +76,14 @@ def test_grouped_float_sums_fold_in_page_order(layout, entry):
     pages = build_heap_pages(SCHEMA, _rows(layout), layout)
     assert len(pages) == PAGES
     kernel = BatchKernel(QUERY, SCHEMA, layout)
+    reference = PageKernel(QUERY, SCHEMA, layout)
 
     want = _running_state()
     for page in pages:
         if entry == "pages":
-            partial = kernel.page_kernel.process_page(page)
+            partial = reference.process_page(page)
         else:
-            partial = kernel.page_kernel.process_decoded(
+            partial = reference.process_decoded(
                 UnitColumns(SCHEMA, [page]).decode(SCHEMA.names),
                 PageHeader.decode(page).tuple_count)
         want.merge(partial.agg, QUERY.aggregates)

@@ -287,5 +287,5 @@ class TestResolveBackend:
             resolve_backend("bogus")
 
     def test_known_backends_resolve(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert resolve_backend(name) is not None

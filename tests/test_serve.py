@@ -434,6 +434,37 @@ class TestFrontendCache:
         assert latency["count"] == 1
         assert latency["min"] > 0
 
+    def test_failed_shard_flush_still_invalidates(self, monkeypatch):
+        # Regression: the version bump used to run only after every shard
+        # flushed, so when shard 1's flush raised, shard 0 stayed written
+        # while the next Q6 was served from the pre-update cache entry.
+        db = build_sharded(2, with_part=False)
+        frontend = Frontend(db)
+        stale = frontend.submit(q6_query())
+        frontend.gather()
+        failing_shard = db.catalog.sharded("lineitem").shards[1].name
+        flush = db.flush_table
+
+        def flush_or_fail(name):
+            if name == failing_shard:
+                raise RuntimeError("injected flush failure")
+            return flush(name)
+
+        monkeypatch.setattr(db, "flush_table", flush_or_fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            frontend.update(
+                "lineitem", Compare(Col("l_quantity"), "<", Const(2500)),
+                {"l_discount": 6})
+        monkeypatch.undo()
+        after = frontend.submit(q6_query())
+        frontend.gather()
+        recompute = Frontend(db, ServeConfig(cache_enabled=False))
+        check = recompute.submit(q6_query())
+        recompute.gather()
+        assert not after.cached
+        assert repr(after.result()) == repr(check.result())
+        assert repr(after.result()) != repr(stale.result())
+
     def test_noop_update_does_not_bump_version(self):
         db = build_sharded(2, with_part=False)
         frontend = Frontend(db)
