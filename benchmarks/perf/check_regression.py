@@ -74,11 +74,18 @@ FLOORS = {
 #: spread 163; the mixed DML/scan window measured scan p99 interference
 #: 1.003x. Bounds sit with comfortable headroom but far below where a
 #: policy or scheduler regression would land.
+#:
+#: ``dml_update_function_calls`` is a machine-neutral call count: four
+#: narrow UPDATEs on an 80,000-row table measured 31.4k-31.6k calls with
+#: the page-at-a-time write path and 6.1k-6.4k once UPDATE runs per I/O
+#: unit (Python 3.11). The ceiling leaves room for interpreter
+#: differences and fails if per-page work comes back.
 CEILINGS = {
     "htap_greedy_wa": 20.0,
     "htap_costbenefit_wa": 10.5,
     "htap_wear_spread_erases": 250.0,
     "htap_scan_p99_interference_x": 1.5,
+    "dml_update_function_calls": 15_000,
 }
 
 #: Calibration-unit bounds locking in ISSUE-7's batch-execution wins: the

@@ -12,11 +12,12 @@ figures from the E6 traffic replay), the parallel fleet runtime's
 serial-vs-parallel wall-clock on the same replay (a top-level
 ``parallel`` block, CPU-count-conditional gate), the HTAP write path's
 GC-policy face-off and DML-vs-scan interference (virtual-time/seeded
-figures from the E7 experiment, floor- and ceiling-gated), and one more
-machine-independent metric: the total Python function-call count of a fixed
-workload, captured with cProfile. Wall-clock numbers are normalized by a
-CPU calibration loop so the regression gate (``check_regression.py``) is
-meaningful across machines of different speeds.
+figures from the E7 experiment, floor- and ceiling-gated), and two
+machine-independent metrics: the total Python function-call counts of two
+fixed workloads (Fig. 3 Q6 and four narrow UPDATEs), captured with
+cProfile. Wall-clock numbers are normalized by a CPU calibration loop so
+the regression gate (``check_regression.py``) is meaningful across
+machines of different speeds.
 
 Usage::
 
@@ -420,19 +421,53 @@ def bench_parallel_serving() -> dict:
     }
 
 
+def _function_calls(fn) -> int:
+    """Total Python function calls made while ``fn()`` runs (cProfile)."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    fn()
+    profiler.disable()
+    profiler.create_stats()
+    return int(sum(stat[0] for stat in profiler.stats.values()))
+
+
+def dml_update_calls() -> int:
+    """Function calls of four narrow UPDATEs on an 80,000-row PAX table.
+
+    Each statement changes the 100 rows with ``k`` in one key range
+    (``SET v = v + 3``), so almost every page it reads has no hit: the
+    count tracks how much per-page work the write path does for pages it
+    leaves alone.
+    """
+    from repro.engine import Add, And, Col, Compare, Const
+    from repro.host.db import Database
+    from repro.storage import Column, Int32Type, Layout, Schema
+
+    schema = Schema([Column("k", Int32Type()), Column("v", Int32Type())])
+    rows = np.zeros(80_000, dtype=schema.numpy_dtype())
+    rows["k"] = np.arange(80_000)
+    db = Database()
+    db.create_smart_ssd()
+    db.create_table("kv", schema, Layout.PAX, rows, "smart-ssd")
+
+    def updates():
+        for low in (5_000, 25_000, 45_000, 65_000):
+            db.update_rows(
+                "kv", And(Compare(Col("k"), ">=", Const(low)),
+                          Compare(Col("k"), "<", Const(low + 100))),
+                {"v": Add(Col("v"), Const(3))})
+
+    return _function_calls(updates)
+
+
 def count_calls():
-    """Total function calls of a fixed workload — machine-independent."""
+    """Total function calls of fixed workloads — machine-independent."""
     from repro.bench.figures import fig3_q6
     from repro.bench.runners import invalidate_workload_cache
 
     invalidate_workload_cache()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    fig3_q6()
-    profiler.disable()
-    profiler.create_stats()
-    return {"fig3_q6_function_calls":
-            int(sum(stat[0] for stat in profiler.stats.values()))}
+    return {"fig3_q6_function_calls": _function_calls(fig3_q6),
+            "dml_update_function_calls": dml_update_calls()}
 
 
 def main(argv=None) -> int:
@@ -458,7 +493,8 @@ def main(argv=None) -> int:
         for key, value in section_metrics.items():
             print(f"  {key}: {value:,.1f}")
     metrics.update(count_calls())
-    print(f"  fig3_q6_function_calls: {metrics['fig3_q6_function_calls']:,}")
+    for key in ("fig3_q6_function_calls", "dml_update_function_calls"):
+        print(f"  {key}: {metrics[key]:,}")
 
     # Top-level block, not a metric: wall-clock parallel speedup is gated
     # by check_regression.py conditionally on the CPU count, never by the

@@ -39,6 +39,7 @@ from repro.errors import (
     ProgramCrashError,
     ProtocolError,
 )
+from repro.host.dml import check_update_columns
 from repro.host.executor import (
     QueryOutcome,
     SharedScanHandle,
@@ -189,8 +190,7 @@ class QueryScheduler:
         still returns exactly one report per query submission.
         """
         table = self.db.catalog.table(table_name)  # validate early
-        for name in assignments:
-            table.schema.column_index(name)
+        check_update_columns(table.schema, predicate, assignments)
         if at < 0:
             raise PlanError(f"negative arrival offset: {at}")
         ticket = WriteTicket(windex=len(self.write_submissions),

@@ -42,6 +42,7 @@ from repro.errors import (
     ServingError,
     ShardUnavailable,
 )
+from repro.host.dml import check_update_columns
 from repro.host.executor import _finalize_aggregates
 from repro.host.planner import (
     ScatterPlan,
@@ -275,14 +276,18 @@ class Frontend:
         If any shard's apply or flush raises, the version is bumped before
         the error propagates: the shards already written stay written, but
         no cached result computed before the failure is served again.
+        Every column the statement names is checked against the schema
+        first, so a bad one raises :class:`~repro.errors.CatalogError`
+        before any shard is read and without a version bump.
         """
         catalog = self.db.catalog
         if catalog.is_sharded(table_name):
             names = [shard.name
                      for shard in catalog.sharded(table_name).shards]
         else:
-            catalog.table(table_name)
             names = [table_name]
+        check_update_columns(catalog.table(names[0]).schema, predicate,
+                             assignments)
         start = self.db.sim.now
         changed = 0
         failed = True

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, Mul, Query
-from repro.errors import PlanError
+from repro.engine import Add, AggSpec, Col, Compare, Const, Mul, Query
+from repro.errors import CatalogError, PlanError
 from repro.host.db import Database
 from repro.storage import Column, Int32Type, Layout, Schema
 
@@ -123,3 +123,41 @@ class TestPushdownCoherence:
             db.flush_table("t")
             report = db.execute(query, placement="smart")
             assert report.rows[0]["s"] == 2000 * value
+
+
+#: UPDATEs that name a missing column outside the SET targets.
+BAD_REFERENCES = [
+    pytest.param(Compare(Col("nope"), "<", Const(10)), {"v": 1},
+                 id="predicate"),
+    pytest.param(Compare(Col("k"), "<", Const(10)),
+                 {"v": Add(Col("nope"), Const(1))}, id="set-expression"),
+]
+
+
+def _io_state(db):
+    return db.sim.now, db.buffer_pool.hits, db.buffer_pool.misses
+
+
+class TestColumnsCheckedBeforeIo:
+    """A bad column reference fails before any timed read: the clock and
+    the buffer pool stay where they were."""
+
+    @pytest.mark.parametrize("predicate, assignments", BAD_REFERENCES)
+    def test_update_rows(self, schema, predicate, assignments):
+        db = make_db(schema)
+        before = _io_state(db)
+        with pytest.raises(CatalogError, match="nope"):
+            db.update_rows("t", predicate, assignments)
+        assert _io_state(db) == before
+
+    @pytest.mark.parametrize("predicate, assignments", BAD_REFERENCES)
+    def test_submit_update(self, schema, predicate, assignments):
+        from repro.sched import QueryScheduler
+        db = make_db(schema)
+        scheduler = QueryScheduler(db)
+        before = _io_state(db)
+        with pytest.raises(CatalogError, match="nope"):
+            scheduler.submit_update("t", predicate, assignments)
+        assert scheduler.write_submissions == []
+        assert scheduler.gather() == []
+        assert _io_state(db) == before

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro import Layout, Placement, ServeConfig, ShardSpec, TenantSpec
-from repro.engine import AggSpec, Col, Compare, Const, Query
+from repro.engine import Add, AggSpec, Col, Compare, Const, Query
 from repro.errors import (
     AdmissionRejected,
     CatalogError,
@@ -474,6 +474,33 @@ class TestFrontendCache:
             {"l_discount": 0})
         assert changed == 0
         assert db.catalog.version("lineitem") == before
+
+    @pytest.mark.parametrize("predicate, assignments", [
+        pytest.param(Compare(Col("l_nope"), "<", Const(2500)),
+                     {"l_discount": 6}, id="predicate"),
+        pytest.param(Compare(Col("l_quantity"), "<", Const(2500)),
+                     {"l_discount": Add(Col("l_nope"), Const(1))},
+                     id="set-expression"),
+    ])
+    def test_bad_update_column_rejected_before_io(self, predicate,
+                                                  assignments):
+        # A missing column used to surface only after shard 0's timed
+        # read, and the failure path then bumped the version, so the
+        # next identical query missed the cache for nothing.
+        db = build_sharded(2, with_part=False)
+        frontend = Frontend(db)
+        frontend.submit(q6_query())
+        frontend.gather()
+        pool = db.buffer_pool
+        before = (db.sim.now, pool.hits, pool.misses,
+                  db.catalog.version("lineitem"))
+        with pytest.raises(CatalogError, match="l_nope"):
+            frontend.update("lineitem", predicate, assignments)
+        assert (db.sim.now, pool.hits, pool.misses,
+                db.catalog.version("lineitem")) == before
+        again = frontend.submit(q6_query())
+        frontend.gather()
+        assert again.cached
 
     def test_cache_hits_record_latency_and_fan_out(self):
         # Regression: hits used to skip the metrics block entirely, so a
